@@ -116,19 +116,24 @@ def build_parser():
                          help="arm a deterministic fault-injection plan "
                               "(JSON); plans without a seed inherit the "
                               "config's seed")
-    p_bench.add_argument("--deadline-s", type=float, default=None,
-                         help="wall-clock budget in seconds: when it "
-                              "expires no further cells are scheduled and "
-                              "the run returns partial results")
+    # The coordinator has no failure policy, so a deadline cannot apply.
+    single_host = p_bench.add_mutually_exclusive_group()
+    single_host.add_argument("--deadline-s", type=float, default=None,
+                             help="wall-clock budget in seconds: when it "
+                                  "expires no further cells are scheduled "
+                                  "and the run returns partial results "
+                                  "(single-host runs only)")
     p_bench.add_argument("--quarantine-after", type=int, default=3,
                          help="circuit breaker: consecutive failures before "
                               "a method's remaining cells are quarantined "
-                              "(0 disables; default %(default)s)")
-    p_bench.add_argument("--coordinator", default=None, metavar="HOST:PORT",
-                         help="serve the grid to TCP workers instead of "
-                              "computing locally; combine with --run-dir/"
-                              "--resume and --cache-dir (the remote "
-                              "artifact tier) as usual")
+                              "(0 disables; default %(default)s); applies "
+                              "only to single-host runs")
+    single_host.add_argument("--coordinator", default=None,
+                             metavar="HOST:PORT",
+                             help="serve the grid to TCP workers instead "
+                                  "of computing locally; combine with "
+                                  "--run-dir/--resume and --cache-dir (the "
+                                  "remote artifact tier) as usual")
     p_bench.add_argument("--worker", default=None, metavar="HOST:PORT",
                          help="run as a grid worker attached to a "
                               "coordinator (no config needed; --cache-dir "
@@ -307,7 +312,7 @@ def _cmd_bench(args, out):
     from .resilience import JOURNAL_NAME, FailurePolicy, FaultPlan, RunJournal
     from .resilience import arm as arm_faults
     from .resilience import disarm as disarm_faults
-    from .runtime import ArtifactCache, make_executor
+    from .runtime import ArtifactCache
 
     if args.worker:
         return _cmd_bench_worker(args, out)
@@ -323,11 +328,6 @@ def _cmd_bench(args, out):
         if run_dir is not None:
             telemetry.arm_blackbox(run_dir / telemetry.BLACKBOX_NAME)
             telemetry.install_crash_hooks()
-    executor = None
-    if args.executor or args.workers > 1:
-        kind = args.executor or "process"
-        executor = make_executor(kind, workers=args.workers,
-                                 base_seed=config.seed)
     cache = ArtifactCache(directory=args.cache_dir) if args.cache_dir \
         else None
     journal = RunJournal(run_dir / JOURNAL_NAME) if run_dir is not None \
@@ -361,7 +361,9 @@ def _cmd_bench(args, out):
                   f"{addr[0]}:{addr[1]}", file=out, flush=True)
             table = coordinator.serve()
         else:
-            table = run_one_click(config, logger=logger, executor=executor,
+            table = run_one_click(config, logger=logger,
+                                  executor=args.executor,
+                                  workers=args.workers,
                                   cache=cache, profile=args.profile,
                                   journal=journal, resume=resume_state,
                                   policy=policy,

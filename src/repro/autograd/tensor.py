@@ -15,12 +15,21 @@ summed back to the original operand shapes.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "set_default_dtype",
            "get_default_dtype"]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread grad mode: one thread's ``no_grad`` never leaks into
+    another's, whatever order their blocks enter and exit in."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 #: Dtype used for leaves created from python scalars / lists and for
 #: non-float payloads.  Float32/float64 ndarrays keep their dtype so a
@@ -49,20 +58,19 @@ class no_grad:
     """Context manager disabling graph construction (like ``torch.no_grad``)."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def is_grad_enabled():
-    """Return True when operations record the autodiff graph."""
-    return _GRAD_ENABLED
+    """Return True when operations record the autodiff graph in this
+    thread."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad, shape):
@@ -118,9 +126,10 @@ class Tensor:
                  dtype=None):
         self.data = _as_array(data, dtype=dtype)
         self.grad = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        enabled = _GRAD_MODE.enabled
+        self.requires_grad = bool(requires_grad) and enabled
         self._backward = None
-        self._prev = _prev if (_GRAD_ENABLED and _prev) else ()
+        self._prev = _prev if (enabled and _prev) else ()
         self.name = name
         self._grad_owned = False
 
@@ -210,7 +219,7 @@ class Tensor:
         ``requires_grad`` scan, no parent tuple, no backward closure — so
         inference pays only for the payload wrap.
         """
-        if not _GRAD_ENABLED:
+        if not _GRAD_MODE.enabled:
             return Tensor._raw(data)
         if any(p.requires_grad for p in parents):
             out = Tensor._raw(data)
@@ -569,7 +578,7 @@ class Tensor:
                     tensor._accumulate(g[tuple(sl)])
 
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        req = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+        req = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
         out = Tensor(data, requires_grad=req,
                      _prev=tuple(tensors) if req else ())
         if req:

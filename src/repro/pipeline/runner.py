@@ -48,7 +48,7 @@ from ..evaluation.metrics import HIGHER_IS_BETTER
 from ..evaluation.strategies import make_strategy
 from ..methods.registry import create
 from ..runtime import (MISSING, SerialExecutor, SharedArrayStore, Task,
-                       fingerprint, resolve)
+                       fingerprint, make_executor, resolve)
 from .config import BenchmarkConfig
 from .logging import RunLogger
 
@@ -351,8 +351,29 @@ class _PendingCell:
     task: Task
 
 
+@dataclass
+class _Grid:
+    """One run's state: ``(series, spec)`` cells in order, a result slot
+    per cell, failures by cell index, the pending work, and the side
+    channels every finished cell is recorded into."""
+
+    cells: list
+    slots: list
+    pending: list
+    failures: dict = field(default_factory=dict)
+    cache: object = None
+    journal: object = None
+    policy: object = None
+    progress: object = None
+
+
 class BenchmarkRunner:
-    """Drives a validated :class:`BenchmarkConfig` end to end."""
+    """Drives a validated :class:`BenchmarkConfig` end to end.
+
+    It owns the grid lifecycle (:meth:`prepare_grid`, :meth:`record`,
+    :meth:`finish`) for both dispatchers: the wave loop in :meth:`run`
+    and the distributed :class:`~repro.runtime.distributed.Coordinator`.
+    """
 
     def __init__(self, config, registry=None, logger=None):
         if not isinstance(config, BenchmarkConfig):
@@ -362,9 +383,6 @@ class BenchmarkRunner:
         self.registry = registry or DatasetRegistry(seed=config.seed)
         # Note: an empty RunLogger is falsy (len 0), so test identity.
         self.logger = logger if logger is not None else RunLogger()
-
-    def _instantiate(self, spec):
-        return _instantiate(self.config, spec)
 
     def _cache_key(self, cache, spec, series):
         return cache.key(spec.name, spec.params, series.name, series.values,
@@ -385,21 +403,19 @@ class BenchmarkRunner:
                            self.config.strategy_kwargs(), self.config.dtype)
 
     def prepare_grid(self, cache=None, resume=None, journal=None,
-                     progress=None, executor_kind="external"):
+                     progress=None, executor_kind="external", store=None):
         """Resolve the grid without executing anything.
 
-        The entry point for external schedulers (the distributed
-        :class:`~repro.runtime.distributed.Coordinator`): returns
-        ``(cells, slots, pending)`` where ``cells`` is the full
-        ``(series, spec)`` grid in order, ``slots`` already holds the
-        results satisfied from the resume journal and the artifact
-        cache (journaled and reported through ``progress`` exactly as
-        :meth:`run` would), and ``pending`` lists the remaining work —
-        each entry carrying the stable cell key, content fingerprint
-        and cache key the scheduler needs.  The same resume-journal
-        config-fingerprint check applies, and ``journal`` gets the
-        ``run_start`` header, so a crashed external run resumes through
-        the ordinary ``bench --resume`` machinery.
+        Returns a :class:`_Grid` whose ``slots`` already hold the
+        results satisfied from the resume journal and the artifact cache
+        (journaled and reported through ``progress``), and whose
+        ``pending`` lists the remaining work — each entry carrying the
+        stable cell key, content fingerprint and cache key a scheduler
+        needs.  A resume journal written by another config is refused,
+        and ``journal`` gets the ``run_start`` header, so a crashed run
+        of either dispatcher resumes through ``bench --resume``.  With a
+        dataplane ``store``, pending tasks carry store refs (see
+        :meth:`_scan`).
         """
         config = self.config
         series_list = config.datasets.resolve(self.registry)
@@ -416,8 +432,10 @@ class BenchmarkRunner:
                               n_cells=len(cells), executor=executor_kind,
                               resumed=resume is not None)
         slots = [None] * len(cells)
-        pending = self._scan(cells, cache, resume, journal, slots, progress)
-        return cells, slots, pending
+        pending = self._scan(cells, cache, resume, journal, slots, progress,
+                             store=store)
+        return _Grid(cells=cells, slots=slots, pending=pending, cache=cache,
+                     journal=journal, progress=progress)
 
     def run(self, progress=None, executor=None, cache=None, profile=False,
             journal=None, resume=None, policy=None, cancel=None,
@@ -478,6 +496,87 @@ class BenchmarkRunner:
                             horizon=self.config.horizon):
             return self._run(progress, executor, cache, profile, journal,
                              resume, policy, cancel, dataplane)
+
+    def record(self, grid, entry, outcome, worker=None, cache_put=True):
+        """Fold a cell's first :class:`~repro.runtime.TaskResult` into
+        ``grid`` and its journal, cache, log, counter, policy and
+        progress.  ``worker`` joins the log event; ``cache_put=False``
+        skips a value the cache already holds."""
+        series, spec = grid.cells[entry.index]
+        fields = {"method": spec.name, "series": series.name}
+        if worker is not None:
+            fields["worker"] = worker
+        journal, policy = grid.journal, grid.policy
+        if outcome.ok:
+            grid.slots[entry.index] = outcome.value
+            self.logger.info("run.cell", **fields, status="ok",
+                             seconds=round(outcome.seconds, 6),
+                             attempts=outcome.attempts)
+            self._cell_count("ok")
+            if journal is not None:
+                journal.cell_done(entry.key, entry.fingerprint,
+                                  outcome.value)
+            if cache_put and grid.cache is not None:
+                grid.cache.put(entry.cache_key, outcome.value)
+            if policy is not None:
+                policy.record(spec.name, ok=True)
+            if grid.progress is not None:
+                grid.progress(outcome.value)
+            return
+        error = outcome.error
+        self._fail(grid, entry, "failed", error.error, error.error_type,
+                   error.attempts)
+        self.logger.error("run.cell_failed", **fields, error=error.error,
+                          error_type=error.error_type,
+                          attempts=error.attempts)
+        if journal is not None:
+            journal.cell_failed(entry.key, entry.fingerprint,
+                                error=error.error,
+                                error_type=error.error_type,
+                                attempts=error.attempts)
+        if policy is not None and policy.record(spec.name, ok=False):
+            self.logger.warning("run.quarantine_tripped", method=spec.name,
+                                after=policy.breaker.threshold)
+
+    def finish(self, grid, stop_status=None, unrun=(), profile=False,
+               **done_extra):
+        """Record ``unrun`` entries as ``deadline``/``cancelled`` when
+        the run stopped early (``stop_status``), then journal and log
+        the end and return the table; ``done_extra`` joins the
+        ``run.done`` payload.  An ``"interrupted"`` run gets no
+        ``run_done`` record: the caller raises :class:`RunInterrupted`.
+        """
+        journal = grid.journal
+        if stop_status is not None:
+            self._mark_unrun(grid, unrun, "deadline"
+                             if stop_status == "deadline" else "cancelled")
+            self.logger.warning(f"run.{stop_status}",
+                                n_unscheduled=len(unrun))
+            if journal is not None:
+                journal.run_interrupted(reason=stop_status,
+                                        n_unscheduled=len(unrun))
+        table = ResultTable()
+        for result in grid.slots:
+            if result is None:
+                continue
+            table.add(result)
+            if profile:
+                payload = {f"{phase}_seconds": round(seconds, 6)
+                           for phase, seconds
+                           in getattr(result, "phase_seconds", {}).items()}
+                self.logger.info("run.profile", method=result.method,
+                                 series=result.series, **payload)
+        for index in sorted(grid.failures):
+            table.add_failure(grid.failures[index])
+        done_payload = {"n_results": len(table),
+                        "status_counts": table.status_counts(),
+                        **done_extra}
+        if grid.cache is not None:
+            done_payload["cache"] = grid.cache.stats()
+        if journal is not None and stop_status != "interrupted":
+            journal.run_done(**done_payload)
+        self.logger.info("run.done", **done_payload)
+        return table
 
     # -- internals -------------------------------------------------------
 
@@ -542,73 +641,33 @@ class BenchmarkRunner:
                                         cache_key=cache_key, task=task))
         return pending
 
-    def _quarantine(self, entry, spec, series, journal, failures):
-        failures[entry.index] = CellFailure(
+    def _fail(self, grid, entry, status, error, error_type="", attempts=0):
+        """Record ``entry``'s cell as a :class:`CellFailure`."""
+        series, spec = grid.cells[entry.index]
+        grid.failures[entry.index] = CellFailure(
             method=spec.name, series=series.name,
             horizon=self.config.horizon, strategy=self.config.strategy,
-            status="quarantined",
-            error=f"circuit breaker open for method {spec.name!r}",
-            error_type="Quarantined")
+            status=status, error=error, error_type=error_type,
+            attempts=attempts)
+        self._cell_count(status)
+
+    def _quarantine(self, grid, entry):
+        series, spec = grid.cells[entry.index]
+        self._fail(grid, entry, "quarantined",
+                   f"circuit breaker open for method {spec.name!r}",
+                   "Quarantined")
         self.logger.warning("run.cell_quarantined", method=spec.name,
                             series=series.name)
-        self._cell_count("quarantined")
-        if journal is not None:
-            journal.cell_quarantined(entry.key, entry.fingerprint,
-                                     method=spec.name)
+        if grid.journal is not None:
+            grid.journal.cell_quarantined(entry.key, entry.fingerprint,
+                                          method=spec.name)
 
-    def _absorb_outcome(self, entry, outcome, cells, cache, journal,
-                        policy, slots, failures, progress):
-        """Fold one executor outcome into slots/failures + side channels."""
-        series, spec = cells[entry.index]
-        if outcome.ok:
-            slots[entry.index] = outcome.value
-            self.logger.info("run.cell", method=spec.name,
-                             series=series.name, status="ok",
-                             seconds=round(outcome.seconds, 6),
-                             attempts=outcome.attempts)
-            self._cell_count("ok")
-            if journal is not None:
-                journal.cell_done(entry.key, entry.fingerprint,
-                                  outcome.value)
-            if cache is not None:
-                cache.put(entry.cache_key, outcome.value)
-            if policy is not None:
-                policy.record(spec.name, ok=True)
-            if progress is not None:
-                progress(outcome.value)
-            return
-        failures[entry.index] = CellFailure(
-            method=spec.name, series=series.name,
-            horizon=self.config.horizon, strategy=self.config.strategy,
-            status="failed", error=outcome.error.error,
-            error_type=outcome.error.error_type,
-            attempts=outcome.error.attempts)
-        self.logger.error("run.cell_failed", method=spec.name,
-                          series=series.name, error=outcome.error.error,
-                          error_type=outcome.error.error_type,
-                          attempts=outcome.error.attempts)
-        self._cell_count("failed")
-        if journal is not None:
-            journal.cell_failed(entry.key, entry.fingerprint,
-                                error=outcome.error.error,
-                                error_type=outcome.error.error_type,
-                                attempts=outcome.error.attempts)
-        if policy is not None and policy.record(spec.name, ok=False):
-            self.logger.warning("run.quarantine_tripped", method=spec.name,
-                                after=policy.breaker.threshold)
-
-    def _mark_unrun(self, entries, cells, status, failures, slots):
-        """Record cells that were never scheduled (cancel/deadline/^C)."""
+    def _mark_unrun(self, grid, entries, status):
+        """Record cells that never settled (cancel/deadline/^C)."""
         for entry in entries:
-            if slots[entry.index] is not None or entry.index in failures:
-                continue
-            series, spec = cells[entry.index]
-            failures[entry.index] = CellFailure(
-                method=spec.name, series=series.name,
-                horizon=self.config.horizon,
-                strategy=self.config.strategy, status=status,
-                error=f"not scheduled: run {status}")
-            self._cell_count(status)
+            if (grid.slots[entry.index] is None
+                    and entry.index not in grid.failures):
+                self._fail(grid, entry, status, f"not scheduled: run {status}")
 
     def _open_store(self, dataplane, executor):
         """Resolve the ``dataplane`` knob to ``(store, owns_store)``."""
@@ -628,39 +687,25 @@ class BenchmarkRunner:
         config = self.config
         if executor is None:
             executor = SerialExecutor(base_seed=config.seed)
-        series_list = config.datasets.resolve(self.registry)
-        cells = [(series, spec)
-                 for series in series_list for spec in config.methods]
-        config_fp = self.config_fingerprint()
-        if resume is not None and not resume.matches_config(config_fp):
-            raise ValueError(
-                "resume journal was written by a different configuration "
-                f"(journal {resume.config_fingerprint!r:.12} != run "
-                f"{config_fp!r:.12}); refusing to mix results")
-        if journal is not None:
-            journal.start_run(config_fp, tag=config.tag,
-                              n_cells=len(cells), executor=executor.kind,
-                              resumed=resume is not None)
         store, owns_store = self._open_store(dataplane, executor)
-        self.logger.info("run.start", tag=config.tag,
-                         n_methods=len(config.methods),
-                         n_series=len(series_list),
-                         strategy=config.strategy, horizon=config.horizon,
-                         executor=executor.kind,
-                         workers=getattr(executor, "workers", 1),
-                         cached=cache is not None,
-                         journaled=journal is not None,
-                         resumed=resume is not None,
-                         dataplane=(store.backend if store is not None
-                                    else "off"))
-        slots = [None] * len(cells)
-        failures = {}
         stop_status = None
-        interrupted = False
         idx = 0
         try:
-            pending = self._scan(cells, cache, resume, journal, slots,
-                                 progress, store=store)
+            grid = self.prepare_grid(cache, resume, journal, progress,
+                                     executor.kind, store=store)
+            grid.policy = policy
+            pending = grid.pending
+            self.logger.info("run.start", tag=config.tag,
+                             n_methods=len(config.methods),
+                             n_series=len(grid.cells) // len(config.methods),
+                             strategy=config.strategy, horizon=config.horizon,
+                             executor=executor.kind,
+                             workers=getattr(executor, "workers", 1),
+                             cached=cache is not None,
+                             journaled=journal is not None,
+                             resumed=resume is not None,
+                             dataplane=(store.backend if store is not None
+                                        else "off"))
 
             # Dispatch in waves.  With no between-wave decisions to make
             # the whole batch goes out at once (identical to the
@@ -685,10 +730,9 @@ class BenchmarkRunner:
                 while idx < len(pending) and len(wave) < wave_size:
                     entry = pending[idx]
                     idx += 1
-                    series, spec = cells[entry.index]
-                    if policy is not None and policy.quarantined(spec.name):
-                        self._quarantine(entry, spec, series, journal,
-                                         failures)
+                    if policy is not None and policy.quarantined(
+                            grid.cells[entry.index][1].name):
+                        self._quarantine(grid, entry)
                         continue
                     wave.append(entry)
                 if not wave:
@@ -699,26 +743,11 @@ class BenchmarkRunner:
                 try:
                     outcomes = executor.map_tasks([e.task for e in wave])
                 except KeyboardInterrupt:
-                    interrupted = True
                     stop_status = "interrupted"
-                    self._mark_unrun(wave, cells, "interrupted", failures,
-                                     slots)
+                    self._mark_unrun(grid, wave, "interrupted")
                     break
                 for entry, outcome in zip(wave, outcomes):
-                    self._absorb_outcome(entry, outcome, cells, cache,
-                                         journal, policy, slots, failures,
-                                         progress)
-            if stop_status is not None:
-                remainder_status = ("deadline" if stop_status == "deadline"
-                                    else "cancelled")
-                self._mark_unrun(pending[idx:], cells, remainder_status,
-                                 failures, slots)
-                self.logger.warning(f"run.{stop_status}",
-                                    n_unscheduled=len(pending) - idx)
-                if journal is not None:
-                    journal.run_interrupted(reason=stop_status,
-                                            n_unscheduled=len(pending)
-                                            - idx)
+                    self.record(grid, entry, outcome)
         finally:
             # The owned store must not outlive the run (crash safety:
             # this also runs on Ctrl-C and injected faults); a borrowed
@@ -729,27 +758,8 @@ class BenchmarkRunner:
                 if owns_store:
                     store.close()
 
-        table = ResultTable()
-        for result in slots:
-            if result is None:
-                continue
-            table.add(result)
-            if profile:
-                payload = {f"{phase}_seconds": round(seconds, 6)
-                           for phase, seconds
-                           in getattr(result, "phase_seconds", {}).items()}
-                self.logger.info("run.profile", method=result.method,
-                                 series=result.series, **payload)
-        for index in sorted(failures):
-            table.add_failure(failures[index])
-        done_payload = {"n_results": len(table),
-                        "status_counts": table.status_counts()}
-        if cache is not None:
-            done_payload["cache"] = cache.stats()
-        if journal is not None and not interrupted:
-            journal.run_done(**done_payload)
-        self.logger.info("run.done", **done_payload)
-        if interrupted:
+        table = self.finish(grid, stop_status, pending[idx:], profile)
+        if stop_status == "interrupted":
             raise RunInterrupted(table)
         return table
 
@@ -760,15 +770,17 @@ def run_one_click(config, registry=None, logger=None, progress=None,
                   dataplane=None):
     """The one-click evaluation entry point (demo scenario S1).
 
-    ``workers`` is a convenience: ``workers > 1`` without an explicit
-    ``executor`` selects a :class:`~repro.runtime.ProcessExecutor`.
+    ``executor`` is an executor or a kind name (``"serial"``,
+    ``"thread"``, ``"process"``) built with ``workers`` workers;
+    ``workers > 1`` without an ``executor`` selects a process pool.
     The resilience knobs (``journal``/``resume``/``policy``/``cancel``)
     and the zero-copy ``dataplane`` knob pass straight through to
     :meth:`BenchmarkRunner.run`.
     """
-    if executor is None and workers and workers > 1:
-        from ..runtime import default_executor
-        executor = default_executor(workers=workers, base_seed=config.seed)
+    if isinstance(executor, str) or (executor is None and workers
+                                     and workers > 1):
+        executor = make_executor(executor or "process", workers=workers or 1,
+                                 base_seed=config.seed)
     return BenchmarkRunner(config, registry=registry, logger=logger).run(
         progress=progress, executor=executor, cache=cache, profile=profile,
         journal=journal, resume=resume, policy=policy, cancel=cancel,

@@ -10,8 +10,8 @@ The subsystem lifts the single-host grid across machines:
   unit-testable without sockets);
 * :class:`Coordinator` — ``bench --coordinator HOST:PORT``: shards the
   grid, streams ~200-byte task descriptors, serves content-addressed
-  blobs and the remote artifact-cache tier, merges results
-  incrementally and write-ahead-journals every transition;
+  blobs and the remote artifact-cache tier, and records every cell
+  through the runner's own record/finish path (slots, journal, events);
 * :class:`Worker` — ``bench --worker HOST:PORT``: executor-parity cell
   computation (bitwise-identical to a serial run), two-tier artifact
   lookup, deterministic-jitter reconnects.

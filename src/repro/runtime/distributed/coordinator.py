@@ -18,10 +18,12 @@ coordinator *never computes a cell itself*; it
   remote tier (content-addressed ``artifact_get``/``artifact_put`` on
   the same socket), so a cell computed once is never recomputed
   anywhere;
-* merges results incrementally via the hardened
-  :meth:`~repro.pipeline.ResultTable.merge` and write-ahead journals
-  every transition, so a crashed coordinator resumes with
-  ``bench --resume`` exactly like a crashed single-host run.
+* records each cell's first outcome through the runner's own
+  :meth:`~repro.pipeline.BenchmarkRunner.record` (slot, journal, cache,
+  ``run.cell`` event, counter, progress) and closes the run with its
+  :meth:`~repro.pipeline.BenchmarkRunner.finish`, so the table, journal
+  and event stream match a single-host run and a crashed coordinator
+  resumes with ``bench --resume`` exactly like one.
 
 Determinism: workers reuse the in-process executor's attempt loop and
 per-key seed derivation, so the distributed table is bitwise-identical
@@ -41,10 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from ... import telemetry
-from ...pipeline.logging import RunLogger
-from ...pipeline.runner import CellFailure, ResultTable, RunInterrupted
+from ...pipeline.runner import MergeConflict, RunInterrupted, _same_outcome
 from ...resilience.faults import InjectedFault, fault_point
 from ..cache import MISSING
+from ..executor import TaskError, TaskResult
 from .scheduler import GridScheduler
 from .wire import (DEFAULT_MAX_FRAME_BYTES, ConnectionClosed, TornFrame,
                    WireError, WireSeries, WireTask, recv_message,
@@ -79,6 +81,16 @@ def _set_last(snapshot):
         _LAST = snapshot
 
 
+def _task_result(message):
+    """A worker's result frame as the runner's :class:`TaskResult`."""
+    key, attempts = message.get("key"), message.get("attempts", 0)
+    error = None if message.get("ok") else TaskError(
+        key, message.get("error", ""), message.get("error_type", ""), attempts)
+    return TaskResult(key, value=message.get("value"), error=error,
+                      attempts=attempts,
+                      seconds=float(message.get("seconds") or 0.0))
+
+
 class Coordinator:
     """Serve one benchmark config to a fleet of TCP workers.
 
@@ -102,9 +114,7 @@ class Coordinator:
         from ...pipeline.runner import BenchmarkRunner
         self.runner = BenchmarkRunner(config, registry=registry,
                                       logger=logger)
-        self.logger = self.runner.logger if logger is None else logger
-        if not isinstance(self.logger, RunLogger):
-            self.logger = self.runner.logger
+        self.logger = self.runner.logger
         self.cache = cache
         self.journal = journal
         self.resume = resume
@@ -118,17 +128,17 @@ class Coordinator:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
 
-        self._lock = threading.Lock()          # table/journal/slots
+        # Guards the grid state and journal; re-entrant because
+        # ``progress`` runs under it and may read :meth:`status`.
+        self._lock = threading.RLock()
         self._done = threading.Event()
         self._closing = False
         self._workers = set()                  # connected worker names
         self._blobs = {}                       # digest -> bytes
         self._pending_by_key = {}
         self.scheduler = None
-        self.table = ResultTable()
-        self.cells = []
-        self._ok_keys = set()
-        self._progress = None
+        self.grid = None
+        self.table = None
         self._stats = {"results": 0, "failures": 0, "duplicates": 0,
                        "torn_frames": 0, "expired": 0}
 
@@ -165,7 +175,7 @@ class Coordinator:
         series_handles = {}
         tasks = []
         for entry in pending:
-            series, spec = self.cells[entry.index]
+            series, spec = self.grid.cells[entry.index]
             handle = series_handles.get(series.name)
             if handle is None:
                 arr = np.ascontiguousarray(series.values)
@@ -188,17 +198,15 @@ class Coordinator:
         return tasks
 
     def _prepare(self, progress):
-        cells, slots, pending = self.runner.prepare_grid(
+        self.grid = self.runner.prepare_grid(
             cache=self.cache, resume=self.resume, journal=self.journal,
             progress=progress, executor_kind="distributed")
-        self.cells = cells
-        self.table = ResultTable(
-            records=[r for r in slots if r is not None])
-        tasks = self._wire_tasks(pending)
+        n_cells = len(self.grid.cells)
+        tasks = self._wire_tasks(self.grid.pending)
         self.scheduler = GridScheduler(tasks, lease_batch=self.lease_batch)
-        self.logger.info("dist.grid", n_cells=len(cells),
+        self.logger.info("dist.grid", n_cells=n_cells,
                          n_pending=len(tasks),
-                         n_satisfied=len(cells) - len(tasks),
+                         n_satisfied=n_cells - len(tasks),
                          blobs=len(self._blobs),
                          address=f"{self.address[0]}:{self.address[1]}")
         if self.scheduler.done():
@@ -213,7 +221,6 @@ class Coordinator:
         raises :class:`~repro.pipeline.RunInterrupted` carrying the
         partial table, mirroring the single-host runner's contract.
         """
-        self._progress = progress
         # The run's root span: every worker cell span parents (via the
         # context stamped onto each WireTask) under this one, so the
         # merged trace is a single tree spanning the whole fleet.
@@ -249,27 +256,19 @@ class Coordinator:
         return self.table
 
     def _shutdown(self, stop_status):
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self.close()
+        unrun = ()
         if stop_status is not None:
-            self._mark_unrun(stop_status)
+            # Never-settled cells: the scheduler tells workers ``done``.
+            unrun = [self._pending_by_key[key]
+                     for key in self.scheduler.drain()]
+            self._done.set()
         with self._lock:
-            done_payload = {"n_results": len(self.table),
-                            "status_counts": self.table.status_counts(),
-                            "dist": dict(self._stats)}
-            if self.journal is not None:
-                if stop_status is None:
-                    self.journal.run_done(**done_payload)
-                else:
-                    self.journal.run_interrupted(reason=stop_status)
-        self.logger.info("dist.done" if stop_status is None
-                         else f"dist.{stop_status}", **done_payload)
+            self.table = self.runner.finish(self.grid, stop_status, unrun,
+                                            dist=dict(self._stats))
         telemetry.record("dist.run.end",
                          status=stop_status or "done",
-                         n_results=done_payload["n_results"])
+                         n_results=len(self.table))
         if self.run_dir is not None:
             # Always leave a blackbox behind: the coordinator's own ring
             # ends the file, after any worker postmortems written above.
@@ -277,24 +276,6 @@ class Coordinator:
             telemetry.dump_blackbox(self.run_dir / BLACKBOX_NAME,
                                     reason=stop_status or "run_end")
         _set_last(self.status())
-
-    def _mark_unrun(self, status):
-        """Record never-settled cells as failures (cancel/Ctrl-C)."""
-        remaining = self.scheduler.drain()
-        config = self.runner.config
-        with self._lock:
-            for key in remaining:
-                entry = self._pending_by_key.get(key)
-                if entry is None:
-                    continue
-                series, spec = self.cells[entry.index]
-                self.table.add_failure(CellFailure(
-                    method=spec.name, series=series.name,
-                    horizon=config.horizon, strategy=config.strategy,
-                    status="cancelled" if status == "cancelled"
-                    else "interrupted",
-                    error=f"not completed: run {status}"))
-        self._done.set()
 
     def _expire_leases(self):
         expired = self.scheduler.expire(time.monotonic(),
@@ -561,64 +542,28 @@ class Coordinator:
         entry = self._pending_by_key.get(key)
         if entry is None:
             return
-        series, spec = self.cells[entry.index]
-        if message.get("ok"):
-            value = message.get("value")
-            first = self.scheduler.complete(worker, key)
-            with self._lock:
-                if first:
-                    self._ok_keys.add(key)
-                    # Incremental merge: the hardened conflict semantics
-                    # (identical-content dedup, failures never shadow
-                    # successes) apply to every arriving record.
-                    self.table.merge(ResultTable(records=[value]))
-                    self._stats["results"] += 1
-                    if self.journal is not None:
-                        self.journal.cell_done(key, entry.fingerprint,
-                                               value)
-                    if (self.cache is not None and entry.cache_key
-                            and not message.get("stored_remote")):
-                        self.cache.put(entry.cache_key, value)
-                elif key in self._ok_keys:
-                    # A stolen duplicate landed anyway: determinism says
-                    # it must be content-identical, and merge asserts it.
-                    self.table.merge(ResultTable(records=[value]))
-                    self._stats["duplicates"] += 1
-            status = "ok" if first else "duplicate"
+        ok = bool(message.get("ok"))
+        settle = self.scheduler.complete if ok else self.scheduler.fail
+        first = settle(worker, key)
+        with self._lock:
             if first:
-                self.logger.info("dist.cell", worker=worker,
-                                 method=spec.name, series=series.name,
-                                 seconds=round(message.get("seconds", 0.0),
-                                               6))
-                if self._progress is not None:
-                    self._progress(value)
-            telemetry.inc("repro_dist_cells_total", status=status,
-                          help="Distributed grid cells by outcome.")
-        else:
-            first = self.scheduler.fail(worker, key)
-            if first:
-                failure = CellFailure(
-                    method=spec.name, series=series.name,
-                    horizon=self.runner.config.horizon,
-                    strategy=self.runner.config.strategy, status="failed",
-                    error=message.get("error", ""),
-                    error_type=message.get("error_type", ""),
-                    attempts=message.get("attempts", 0))
-                with self._lock:
-                    self.table.add_failure(failure)
-                    self._stats["failures"] += 1
-                    if self.journal is not None:
-                        self.journal.cell_failed(
-                            key, entry.fingerprint,
-                            error=failure.error,
-                            error_type=failure.error_type,
-                            attempts=failure.attempts)
-                self.logger.error("dist.cell_failed", worker=worker,
-                                  method=spec.name, series=series.name,
-                                  error=failure.error)
-            telemetry.inc("repro_dist_cells_total",
-                          status="failed" if first else "duplicate",
-                          help="Distributed grid cells by outcome.")
+                self._stats["results" if ok else "failures"] += 1
+                self.runner.record(
+                    self.grid, entry, _task_result(message), worker=worker,
+                    cache_put=not message.get("stored_remote"))
+            else:
+                self._stats["duplicates"] += 1
+                # Determinism says a stolen duplicate of a result must
+                # be content-identical to the one already in its slot.
+                prior = self.grid.slots[entry.index]
+                value = message.get("value")
+                if ok and prior is not None \
+                        and not _same_outcome(prior, value):
+                    raise MergeConflict(
+                        f"divergent duplicate result for cell {key!r}: "
+                        f"{prior.scores!r} != {value.scores!r}")
+        if not first:
+            self.runner._cell_count("duplicate")
         if self.scheduler.done():
             self._done.set()
 
@@ -645,10 +590,12 @@ class Coordinator:
                              lease_snap.percentiles().items()}}
                          if lease_snap is not None else None)
         with self._lock:
+            grid = self.grid
             return {"tag": self.runner.config.tag,
                     "address": list(self.address),
-                    "results": len(self.table),
-                    "failures": len(self.table.failures),
+                    "results": 0 if grid is None else sum(
+                        slot is not None for slot in grid.slots),
+                    "failures": 0 if grid is None else len(grid.failures),
                     "workers": sorted(self._workers),
                     "stats": dict(self._stats),
                     "scheduler": scheduler,

@@ -12,8 +12,8 @@ invariant is unit-testable:
   presumed in flight).  Stolen keys are recorded as revoked for the
   victim, which learns about them on its next contact and drops them
   from its local queue; if the race is lost and the victim computes a
-  stolen cell anyway, the coordinator's merge dedups the identical
-  result.
+  stolen cell anyway, the coordinator drops the duplicate after
+  checking it is content-identical to the recorded result.
 * **Leases expire.**  Every worker message refreshes ``last_seen``; a
   worker silent past the heartbeat timeout (SIGKILL, partition) has its
   unfinished cells requeued (:meth:`expire`) so no cell is ever lost.

@@ -1,5 +1,7 @@
 """Unit tests for the autodiff Tensor: ops, broadcasting, backward."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -220,4 +222,32 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("boom")
+        assert is_grad_enabled()
+
+    def test_grad_mode_is_per_thread(self):
+        # A enters, B enters, A exits, B exits: with one process-wide
+        # flag B's exit would restore A's "disabled" and leak it.
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+            seen["a"] = is_grad_enabled()
+
+        def thread_b():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+                seen["b_inside"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"a": True, "b_inside": False}
         assert is_grad_enabled()

@@ -33,6 +33,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode"])
 
+    def test_coordinator_refuses_deadline(self, tmp_path, capsys):
+        # The coordinator has no failure policy, so a deadline would be
+        # silently ignored; argparse refuses the pair instead.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path / "config.json"),
+                  "--coordinator", "127.0.0.1:0", "--deadline-s", "5"])
+        assert exc.value.code == 2
+        assert "--deadline-s" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_methods(self):

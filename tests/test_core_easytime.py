@@ -69,6 +69,18 @@ class TestOneClick:
         with pytest.raises(TypeError):
             easytime_system.one_click(42)
 
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_executor_kind_name(self, kind):
+        config = {"methods": ["naive", "mean"],
+                  "datasets": {"suite": "univariate", "per_domain": 1,
+                               "length": 256, "domains": ["web"]},
+                  "strategy": "fixed", "lookback": 48, "horizon": 12,
+                  "metrics": ["mae"]}
+        et = EasyTime()
+        table = et.one_click(config, executor=kind, workers=2)
+        assert table.to_rows(include_timings=False) \
+            == et.one_click(config).to_rows(include_timings=False)
+
     def test_evaluate_method_keeps_forecasts(self, easytime_system):
         result = easytime_system.evaluate_method(
             "seasonal_naive", easytime_system.choose_dataset("traffic_u0000"),
