@@ -17,7 +17,13 @@ Quickstart::
     print(et.ask("Which method is best for long term forecasting?").answer)
 """
 
-from .core import EasyTime
+from .runtime import blas as _blas
+
+# One BLAS thread per process: the same bits on every host and no
+# spinning thread on a core the process pools use (see runtime.blas).
+_blas.pin()
+
+from .core import EasyTime  # noqa: E402 - after the pin, by design
 
 __version__ = "1.0.0"
 

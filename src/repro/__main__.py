@@ -275,7 +275,7 @@ def _cmd_bench_worker(args, out):
     from .resilience import arm as arm_faults
     from .resilience import disarm as disarm_faults
     from .runtime import ArtifactCache
-    from .runtime.distributed import Worker
+    from .runtime.distributed import Worker, WorkerRefused
 
     host, port = _parse_endpoint(args.worker)
     if args.run_dir is not None:
@@ -297,6 +297,9 @@ def _cmd_bench_worker(args, out):
     worker = Worker(host, port, cache=cache, lease_batch=args.lease_batch)
     try:
         stats = worker.run()
+    except WorkerRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     finally:
         if plan is not None:
             disarm_faults()

@@ -193,9 +193,13 @@ def extract(series_or_values, period=None):
     if period is None:
         hinted = getattr(series_or_values, "freq", 0)
         period = hinted if hinted and hinted >= 2 else detect_period(mono)
+    # One STL serves both strengths: it is the decomposition
+    # trend_strength runs, and seasonality_strength's whenever period >= 2.
+    dec = stl_decompose(mono, max(period, 2))
     return Characteristics(
-        seasonality=seasonality_strength(mono, period),
-        trend=trend_strength(mono, period),
+        seasonality=(_strength(dec.seasonal, dec.remainder)
+                     if period >= 2 else 0.0),
+        trend=_strength(dec.trend, dec.remainder),
         transition=transition_score(mono),
         shifting=shifting_score(mono),
         stationarity=stationarity_score(mono),

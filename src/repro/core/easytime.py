@@ -12,6 +12,8 @@ One object exposes everything the demo frontend offers:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..characteristics import extract
@@ -59,14 +61,22 @@ class EasyTime:
 
     # -- lifecycle ---------------------------------------------------------
     def setup(self, ensemble_params=None, progress=None):
-        """Build the knowledge base and pretrain the ensemble (offline phase)."""
+        """Build the knowledge base and pretrain the ensemble (offline phase).
+
+        The knowledge-base grid fans out over a process pool with one
+        worker per core this process may run on (serial on one core);
+        BLAS runs one thread per process, so the bits match a serial
+        build.  The pool and its data-plane store close before the grid
+        returns.
+        """
         from ..knowledge.builder import FAST_POOL
         pool = self.pool or FAST_POOL
         with self.logger.timer("easytime.setup"):
             self.knowledge, self.registry = build_benchmark_knowledge(
                 per_domain=self.per_domain, length=self.length,
                 horizons=self.horizons, methods=pool, seed=self.seed,
-                registry=self.registry, logger=self.logger.child("kb"))
+                registry=self.registry, logger=self.logger.child("kb"),
+                workers=len(os.sched_getaffinity(0)))
             if progress:
                 progress("knowledge base built")
             params = dict(ensemble_params or {})

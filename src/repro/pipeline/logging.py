@@ -118,10 +118,17 @@ class RunLogger:
         return self.log(event, level="error", **payload)
 
     def filter(self, event=None, level=None):
-        """Events matching an event-name prefix and/or a level."""
+        """Events named ``event`` or inside its dotted namespace, and/or
+        at ``level``.
+
+        ``"run"`` (or ``"run."``) matches ``run.cell`` and ``run.done``;
+        ``"run.cell"`` matches ``run.cell`` but not ``run.cell_failed``.
+        """
         out = self.events
         if event is not None:
-            out = [e for e in out if e["event"].startswith(event)]
+            space = event.rstrip(".") + "."
+            out = [e for e in out
+                   if e["event"] == event or e["event"].startswith(space)]
         if level is not None:
             out = [e for e in out if e["level"] == level]
         return list(out)

@@ -48,7 +48,7 @@ from ..evaluation.metrics import HIGHER_IS_BETTER
 from ..evaluation.strategies import make_strategy
 from ..methods.registry import create
 from ..runtime import (MISSING, SerialExecutor, SharedArrayStore, Task,
-                       fingerprint, make_executor, resolve)
+                       blas, fingerprint, make_executor, resolve)
 from .config import BenchmarkConfig
 from .logging import RunLogger
 
@@ -387,7 +387,8 @@ class BenchmarkRunner:
     def _cache_key(self, cache, spec, series):
         return cache.key(spec.name, spec.params, series.name, series.values,
                          series.freq, self.config.strategy,
-                         self.config.strategy_kwargs(), self.config.dtype)
+                         self.config.strategy_kwargs(), self.config.dtype,
+                         blas.fingerprint())
 
     def config_fingerprint(self):
         """Content fingerprint of the full config (binds journals)."""
@@ -395,12 +396,14 @@ class BenchmarkRunner:
 
     def cell_fingerprint(self, spec, series):
         """Content fingerprint of one cell — everything that determines
-        its result.  A journaled cell is only resumed when this matches,
-        so edited configs or regenerated data can never smuggle stale
-        results into a resumed run."""
+        its result, the BLAS build and thread count included.  A
+        journaled cell is only resumed when this matches, so edited
+        configs, regenerated data or another BLAS can never smuggle
+        stale results into a resumed run."""
         return fingerprint(spec.name, spec.params, series.name,
                            series.values, series.freq, self.config.strategy,
-                           self.config.strategy_kwargs(), self.config.dtype)
+                           self.config.strategy_kwargs(), self.config.dtype,
+                           blas.fingerprint())
 
     def prepare_grid(self, cache=None, resume=None, journal=None,
                      progress=None, executor_kind="external", store=None):

@@ -13,7 +13,10 @@ The rest of the repo submits work here instead of running it inline:
 * :mod:`.dataplane` — a zero-copy data plane: datasets publish once into
   a content-fingerprinted :class:`SharedArrayStore` (POSIX shm with a
   memmap-file fallback) and tasks ship ~100-byte ``SeriesRef`` handles
-  that workers rehydrate through a per-process attach cache.
+  that workers rehydrate through a per-process attach cache;
+* :mod:`.blas` — one BLAS thread per process (pinned on ``import
+  repro``) and the BLAS fingerprint that cell keys and the fleet
+  handshake carry.
 """
 
 from .cache import CODE_VERSION, MISSING, ArtifactCache, fingerprint

@@ -10,8 +10,9 @@ The subsystem lifts the single-host grid across machines:
   unit-testable without sockets);
 * :class:`Coordinator` — ``bench --coordinator HOST:PORT``: shards the
   grid, streams ~200-byte task descriptors, serves content-addressed
-  blobs and the remote artifact-cache tier, and records every cell
-  through the runner's own record/finish path (slots, journal, events);
+  blobs and the remote artifact-cache tier, records every cell
+  through the runner's own record/finish path (slots, journal, events),
+  and refuses a worker whose BLAS fingerprint differs from its own;
 * :class:`Worker` — ``bench --worker HOST:PORT``: executor-parity cell
   computation (bitwise-identical to a serial run), two-tier artifact
   lookup, deterministic-jitter reconnects.
@@ -27,9 +28,10 @@ from .scheduler import GridScheduler
 from .wire import (DEFAULT_MAX_FRAME_BYTES, ConnectionClosed, FrameError,
                    TornFrame, WireError, WireSeries, WireTask, encode_frame,
                    recv_message, send_message)
-from .worker import ReconnectPolicy, Worker
+from .worker import ReconnectPolicy, Worker, WorkerRefused
 
-__all__ = ["Coordinator", "Worker", "ReconnectPolicy", "GridScheduler",
-           "grid_status", "WireError", "FrameError", "TornFrame",
-           "ConnectionClosed", "WireSeries", "WireTask", "encode_frame",
-           "send_message", "recv_message", "DEFAULT_MAX_FRAME_BYTES"]
+__all__ = ["Coordinator", "Worker", "WorkerRefused", "ReconnectPolicy",
+           "GridScheduler", "grid_status", "WireError", "FrameError",
+           "TornFrame", "ConnectionClosed", "WireSeries", "WireTask",
+           "encode_frame", "send_message", "recv_message",
+           "DEFAULT_MAX_FRAME_BYTES"]

@@ -14,6 +14,9 @@ coordinator *never computes a cell itself*; it
   over the framed TCP protocol (thread per connection), with
   work-stealing for stragglers and heartbeat-expiry lease recovery for
   SIGKILLed workers;
+* answers a worker whose ``hello`` carries another BLAS fingerprint
+  (:func:`repro.runtime.blas.fingerprint`) with a typed ``refused``
+  frame instead of ``welcome``, and grants it nothing;
 * exposes its :class:`~repro.runtime.ArtifactCache` as the fleet's
   remote tier (content-addressed ``artifact_get``/``artifact_put`` on
   the same socket), so a cell computed once is never recomputed
@@ -45,6 +48,7 @@ import numpy as np
 from ... import telemetry
 from ...pipeline.runner import MergeConflict, RunInterrupted, _same_outcome
 from ...resilience.faults import InjectedFault, fault_point
+from .. import blas
 from ..cache import MISSING
 from ..executor import TaskError, TaskResult
 from .scheduler import GridScheduler
@@ -140,7 +144,10 @@ class Coordinator:
         self.grid = None
         self.table = None
         self._stats = {"results": 0, "failures": 0, "duplicates": 0,
-                       "torn_frames": 0, "expired": 0}
+                       "torn_frames": 0, "expired": 0, "refused": 0}
+        # Workers must compute with this BLAS, or their cells would
+        # differ in the last bits from a serial run's.
+        self.blas = blas.fingerprint()
 
         # -- fleet observability state --------------------------------
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -419,6 +426,9 @@ class Coordinator:
                         self.logger.warning("dist.send_error",
                                             worker=worker, error=str(exc))
                         return
+                    if reply["type"] == "refused":
+                        worker = None  # never registered: nothing to release
+                        return
         finally:
             try:
                 sock.close()
@@ -441,6 +451,8 @@ class Coordinator:
     def _dispatch(self, mtype, message, worker):
         now = time.monotonic()
         if mtype == "hello":
+            if message.get("blas") != self.blas:
+                return self._refuse(worker, message.get("blas"))
             requeued = self.scheduler.register(worker, now)
             self._workers.add(worker)
             telemetry.set_gauge("repro_dist_workers", len(self._workers),
@@ -477,6 +489,19 @@ class Coordinator:
             return {"type": "ack",
                     "revoked": self.scheduler.revoked_for(worker)}
         return {"type": "error", "error": f"unknown message type {mtype!r}"}
+
+    def _refuse(self, worker, worker_blas):
+        """The typed refusal of a worker whose BLAS differs from ours."""
+        self._stats["refused"] += 1
+        self.logger.warning("dist.worker_refused", worker=worker,
+                            blas=worker_blas, expected=self.blas)
+        telemetry.record("dist.worker_refused", worker=worker)
+        return {"type": "refused", "reason": "blas",
+                "error": f"BLAS fingerprint {worker_blas!r} differs from "
+                         f"the coordinator's {self.blas!r}; run the "
+                         f"worker with the same BLAS build and "
+                         f"OPENBLAS_CORETYPE",
+                "expected": self.blas}
 
     def _grant(self, message, worker, now):
         fault_point("dist.lease", worker or "?")

@@ -4,7 +4,9 @@
 
 1. connect (capped exponential backoff with *deterministic* seeded
    jitter — two workers restarted together never thunder in lockstep,
-   and the schedule is reproducible in tests);
+   and the schedule is reproducible in tests) and say hello with this
+   process's BLAS fingerprint; a coordinator with another BLAS refuses
+   it, and :meth:`Worker.run` raises :class:`WorkerRefused`;
 2. pull a lease of cells, drop any the coordinator stole back;
 3. for each cell: local :class:`~repro.runtime.ArtifactCache` →
    remote artifact tier → compute, then stream the result back.
@@ -39,12 +41,21 @@ from ... import telemetry
 from ...datasets.series import TimeSeries
 from ...pipeline.config import MethodSpec
 from ...resilience.faults import InjectedFault
+from .. import blas
 from ..cache import MISSING
 from ..executor import Task, _execute_task, derive_seed
 from .wire import DEFAULT_MAX_FRAME_BYTES, WireError, recv_message, \
     send_message
 
-__all__ = ["Worker", "ReconnectPolicy"]
+__all__ = ["Worker", "ReconnectPolicy", "WorkerRefused"]
+
+
+class WorkerRefused(RuntimeError):
+    """The coordinator refused this worker's hello (another BLAS).
+
+    Not a :class:`WireError`: reconnecting cannot help, so it escapes
+    the reconnect loop and :meth:`Worker.run` raises it.
+    """
 
 
 class ReconnectPolicy:
@@ -137,10 +148,15 @@ class Worker:
         sock.settimeout(120)
         self._sock = sock
         try:
-            welcome = self._rpc({"type": "hello", "worker": self.name})
+            welcome = self._rpc({"type": "hello", "worker": self.name,
+                                 "blas": blas.fingerprint()})
         except (WireError, OSError):
             self._disconnect()
             raise
+        if welcome.get("type") == "refused":
+            self._disconnect()
+            raise WorkerRefused(f"worker {self.name}: "
+                                f"{welcome.get('error')}")
         if welcome.get("type") != "welcome":
             self._disconnect()
             raise WireError(f"unexpected greeting {welcome.get('type')!r}")

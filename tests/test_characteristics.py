@@ -194,3 +194,33 @@ class TestExtract:
         ch = extract(registry.multivariate_series("traffic", 0, length=300,
                                                   n_channels=4))
         assert ch.correlation > 0.0
+
+    def test_one_stl_per_extract_and_the_same_values(self, monkeypatch):
+        """``extract`` decomposes once and matches the two-call strengths
+        bit for bit on the 20 knowledge-base series of ``EasyTime()``."""
+        from repro.characteristics import features
+        from repro.datasets import DatasetRegistry
+        suite = DatasetRegistry(seed=7).univariate_suite(per_domain=2,
+                                                         length=384)
+        assert len(suite) == 20
+        calls = []
+        counted = features.stl_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(features, "stl_decompose", counting)
+        for series in suite:
+            calls.clear()
+            got = extract(series)
+            assert len(calls) == 1, series.name
+            mono = series.values.reshape(len(series.values), -1).mean(axis=1)
+            want = {"seasonality": seasonality_strength(mono, got.period),
+                    "trend": trend_strength(mono, got.period),
+                    "transition": transition_score(mono),
+                    "shifting": shifting_score(mono),
+                    "stationarity": stationarity_score(mono),
+                    "correlation": correlation_score(series.values)}
+            for axis, value in want.items():
+                assert getattr(got, axis) == value, (series.name, axis)

@@ -32,10 +32,12 @@ from repro.pipeline import (BenchmarkConfig, DatasetSpec, MethodSpec,
                             run_one_click)
 from repro.resilience import (JOURNAL_NAME, FaultPlan, FaultRule,
                               JournalState, RunJournal, disarm, injected)
-from repro.runtime import ArtifactCache
-from repro.runtime.distributed import (Coordinator, ReconnectPolicy, Worker,
-                                       encode_frame, grid_status,
-                                       recv_message, send_message)
+from repro.runtime import ArtifactCache, blas
+from repro.runtime.distributed import (ConnectionClosed, Coordinator,
+                                       ReconnectPolicy, Worker,
+                                       WorkerRefused, encode_frame,
+                                       grid_status, recv_message,
+                                       send_message)
 
 
 @pytest.fixture(autouse=True)
@@ -241,7 +243,8 @@ class TestTornFrames:
         # result frame — the classic SIGKILL-during-write.
         sock = socket.create_connection((host, port), timeout=10)
         try:
-            send_message(sock, {"type": "hello", "worker": "evil"})
+            send_message(sock, {"type": "hello", "worker": "evil",
+                                "blas": blas.fingerprint()})
             assert recv_message(sock)["type"] == "welcome"
             send_message(sock, {"type": "request", "worker": "evil",
                                 "n": 2})
@@ -559,3 +562,84 @@ class TestSigkillChaos:
         # The coordinator's own ring closes the file at shutdown.
         assert any(e.get("event") == "blackbox.dump"
                    and e.get("reason") == "run_end" for e in events)
+
+
+# ---------------------------------------------------------------------------
+# BLAS handshake — a worker with another BLAS never computes a cell
+# ---------------------------------------------------------------------------
+
+class TestBlasHandshake:
+    def test_other_blas_is_refused_and_granted_no_lease(self, monkeypatch):
+        config = small_config()
+        serial = rows(run_one_click(config))
+        coordinator = Coordinator(config, heartbeat_s=0.5)
+        host, port = coordinator.address
+        thread, holder = _start_serve(coordinator)
+
+        # A hand-rolled hello gets the typed refusal, then a closed socket.
+        sock = socket.create_connection((host, port), timeout=10)
+        try:
+            send_message(sock, {"type": "hello", "worker": "alien",
+                                "blas": "OpenBLAS 0.0; core=Zen; threads=1"})
+            reply = recv_message(sock)
+            assert reply["type"] == "refused" and reply["reason"] == "blas"
+            assert reply["expected"] == blas.fingerprint()
+            with pytest.raises(ConnectionClosed):
+                recv_message(sock)
+        finally:
+            sock.close()
+
+        # The worker loop raises at once instead of reconnecting.
+        monkeypatch.setattr(blas, "fingerprint", lambda: "other BLAS")
+        alien = Worker(host, port, name="alien-loop")
+        with pytest.raises(WorkerRefused, match="other BLAS"):
+            alien.run()
+        monkeypatch.undo()
+        assert alien.stats["connects"] == 0
+        assert alien.stats["reconnects"] == 0
+        assert coordinator._stats["refused"] == 2
+
+        honest = Worker(host, port, name="honest")
+        worker_thread = threading.Thread(target=honest.run, daemon=True,
+                                         name=honest.name)
+        worker_thread.start()
+        table = _finish(thread, holder)
+        _join_workers([worker_thread])
+        assert rows(table) == serial
+        granted = {e["worker"]
+                   for e in coordinator.logger.filter(event="run.cell")}
+        assert granted == {"honest"}
+        assert coordinator.scheduler.counts["requeued"] == 0
+
+    def test_cli_worker_exits_nonzero_on_another_core_type(self):
+        """``OPENBLAS_CORETYPE`` selects the kernels, so it is part of
+        the fingerprint: a worker with another core is refused and
+        exits 1, one with the coordinator's core is welcome."""
+        import platform
+        core = blas.fingerprint().partition("; core=")[2].split(";")[0]
+        if platform.machine() not in ("x86_64", "AMD64") or not core \
+                or core == "Nehalem":
+            pytest.skip("needs the bundled x86-64 OpenBLAS")
+        config = small_config()
+        coordinator = Coordinator(config, heartbeat_s=0.5)
+        host, port = coordinator.address
+        thread, holder = _start_serve(coordinator)
+        base = [sys.executable, "-m", "repro", "bench",
+                "--worker", f"{host}:{port}"]
+
+        def worker(coretype):
+            return subprocess.run(base, env=dict(_cli_env(),
+                                                 OPENBLAS_CORETYPE=coretype),
+                                  capture_output=True, text=True,
+                                  timeout=120)
+
+        refused = worker("Nehalem")
+        assert refused.returncode == 1, refused.stderr
+        assert "refused" in refused.stderr
+        assert "core=Nehalem" in refused.stderr
+        assert "reconnect" not in refused.stderr
+        welcome = worker(core)
+        assert welcome.returncode == 0, welcome.stderr
+        table = _finish(thread, holder)
+        assert rows(table) == rows(run_one_click(config))
+        assert coordinator._stats["refused"] == 1

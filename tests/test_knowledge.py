@@ -164,3 +164,38 @@ class TestSyntheticBuilder:
             "SELECT method, AVG(mae) AS m FROM results WHERE term = 'long' "
             "GROUP BY method ORDER BY m LIMIT 3")
         assert len(result) == 3
+
+
+class TestBenchmarkFanOut:
+    def test_workers_change_no_kb_bits_and_leave_nothing_behind(self):
+        """The knowledge-base grid on a 2-process pool stores the same
+        rows as a serial build, then leaves no child process and no
+        data-plane segment of this process."""
+        import multiprocessing
+        import os
+        from pathlib import Path
+
+        from repro.knowledge import build_benchmark_knowledge
+        from repro.runtime import leaked_segments
+        from repro.runtime.dataplane import SEGMENT_PREFIX, _mmap_dir
+
+        def tables(workers):
+            kb, _ = build_benchmark_knowledge(
+                per_domain=1, length=256, methods=("naive", "ridge", "mlp"),
+                workers=workers)
+            out = {name: kb.query(f"SELECT * FROM {name}").rows
+                   for name in ("datasets", "methods")}
+            # Every results column but fit_seconds and predict_seconds.
+            out["results"] = [row[:-2] for row in
+                              kb.query("SELECT * FROM results").rows]
+            return out
+
+        serial, fanned = tables(1), tables(2)
+        assert len(serial["results"]) == 30
+        assert serial == fanned
+        assert not multiprocessing.active_children()
+        assert not leaked_segments()
+        mine = f"{SEGMENT_PREFIX}{os.getpid()}_"
+        for directory in (Path("/dev/shm"), _mmap_dir()):
+            if directory.is_dir():
+                assert not list(directory.glob(f"{mine}*")), directory

@@ -31,6 +31,19 @@ class TestRunLogger:
         assert len(logger.filter(level="error")) == 1
         assert len(logger.filter(event="run.cell", level="info")) == 1
 
+    def test_filter_matches_names_not_string_prefixes(self):
+        logger = RunLogger()
+        for event in ("run.cell", "run.cell_failed", "run.cell_quarantined",
+                      "run.cell.retry"):
+            logger.info(event)
+
+        def names(event):
+            return [e["event"] for e in logger.filter(event=event)]
+
+        assert names("run.cell") == ["run.cell", "run.cell.retry"]
+        assert len(names("run")) == 4
+        assert names("run.cell ") == []
+
     def test_child_prefixes_and_shares_buffer(self):
         logger = RunLogger()
         child = logger.child("kb")

@@ -167,7 +167,7 @@ class TestRunnerCache:
         assert stats["misses"] == 4
         assert stats["hits"] == 4
         assert len(logger.filter(event="run.cache_hit")) == 4
-        assert not logger.filter(event="run.cell ")
+        assert not logger.filter(event="run.cell")
 
     def test_key_sensitivity(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)
